@@ -42,7 +42,7 @@ use std::fs::File;
 use std::io::{self, Write};
 use std::sync::OnceLock;
 
-use crate::random::RandlcInt;
+use crate::random::{Randlc, MASK46};
 
 /// Probability that any single durable operation trips an armed fault.
 /// Low enough that a few records land first (the interesting recovery
@@ -172,7 +172,7 @@ pub enum WriteFault {
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     plan: IoFaultPlan,
-    rng: RandlcInt,
+    rng: Randlc,
     ops: u64,
     /// Sticky kinds (enospc, fsync-fail) stay tripped once tripped.
     stuck: bool,
@@ -185,7 +185,7 @@ impl FaultInjector {
         // would pin the stream at zero.
         let state =
             (plan.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ fnv1a64(surface.as_bytes())) | 1;
-        FaultInjector { plan, rng: RandlcInt::new(state), ops: 0, stuck: false }
+        FaultInjector { plan, rng: Randlc::new((state & MASK46) as f64), ops: 0, stuck: false }
     }
 
     pub fn kind(&self) -> IoFaultKind {

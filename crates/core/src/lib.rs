@@ -9,8 +9,8 @@
 //!
 //! * [`Class`] — the NPB problem classes (S, W, A, B, C),
 //! * [`random`] — the NPB 48-bit linear-congruential pseudo-random number
-//!   generator (`randlc` / `vranlc` / `ipow46`), in both the classic
-//!   double-precision formulation and a fast integer formulation,
+//!   generator (`randlc` / `vranlc` / `ipow46`), computed exactly on
+//!   integer state (one `u64` multiply and a 46-bit mask per draw),
 //! * [`timer`] — the multi-slot wall-clock timers NPB codes use,
 //! * [`verify`] — verification outcome types and the NPB relative-error
 //!   comparison,
@@ -47,7 +47,7 @@ pub use guard::{
     IterationGuard, SdcGuard,
 };
 pub use iofault::{FaultFile, FaultInjector, FaultWriter, IoDegraded, IoFaultKind, IoFaultPlan};
-pub use random::{ipow46, randlc, vranlc, Randlc, RandlcInt, A_DEFAULT, SEED_DEFAULT};
+pub use random::{ipow46, randlc, vranlc, Randlc, A_DEFAULT, SEED_DEFAULT};
 pub use report::{BenchReport, RegionProfile};
 pub use rlimit::ResourceLimits;
 pub use timer::{RegionRegistry, RegionStats, RegionTimerError, Timers};

@@ -17,21 +17,28 @@ mod params;
 
 pub use params::{IsParams, MAX_ITERATIONS, TEST_ARRAY_SIZE};
 
-use npb_core::{ld, randlc, st, trace, BenchReport, Class, Style, Verified};
+use npb_core::random::{deviate, mul46};
+use npb_core::{ld, st, trace, BenchReport, Class, Style, Verified, A_DEFAULT, SEED_DEFAULT};
 use npb_runtime::{run_par, SharedMut, Team};
 
 /// Generate the key sequence exactly as `create_seq` in `is.c`: each key
 /// is `MAX_KEY/4` times the sum of four consecutive uniform deviates.
+/// The generator state stays a `u64` for the whole stream, so no float
+/// conversion sits on its serial dependency chain.
 pub fn create_seq(p: &IsParams) -> Vec<i32> {
-    let mut seed = 314_159_265.0;
-    let a = 1_220_703_125.0;
+    let a = A_DEFAULT as u64;
+    let mut seed = SEED_DEFAULT as u64;
+    let mut draw = || {
+        seed = mul46(seed, a);
+        deviate(seed)
+    };
     let k = (p.max_key / 4) as f64;
     (0..p.num_keys)
         .map(|_| {
-            let mut x = randlc(&mut seed, a);
-            x += randlc(&mut seed, a);
-            x += randlc(&mut seed, a);
-            x += randlc(&mut seed, a);
+            let mut x = draw();
+            x += draw();
+            x += draw();
+            x += draw();
             (k * x) as i32
         })
         .collect()

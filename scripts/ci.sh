@@ -14,6 +14,13 @@ cargo build --release
 echo "== tier-1: tests =="
 cargo test --workspace -q
 
+echo "== perfbench: build and unit tests =="
+# The repository benchmark compiles against the kernels' public API
+# (its own Cargo workspace), so an API change it depends on fails here
+# rather than in a benchmark run.
+cargo build --release --manifest-path perfbench/Cargo.toml
+cargo test -q --manifest-path perfbench/Cargo.toml
+
 echo "== chaos smoke (in-process) =="
 # Injected worker panic on the first attempt, clean retry must verify.
 cargo run --release --bin npb -- ep --class S --threads 4 --inject panic:1 --retries 1
